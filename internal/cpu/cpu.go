@@ -107,6 +107,8 @@ type Model struct {
 	// remoteAccum counts remote-dirty transfers toward the next
 	// snoop-induced machine clear.
 	remoteAccum int
+	// exec is the activation Begin hands out, reused for every step.
+	exec Exec
 }
 
 // New builds a core attached to its cache hierarchy and the shared

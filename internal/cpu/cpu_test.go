@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -198,5 +200,33 @@ func TestUncachedCost(t *testing.T) {
 	c := r.m0.Begin(r.sym, CodeRef{}).Uncached(2).Finish()
 	if c != 400 {
 		t.Fatalf("uncached cost = %d, want 400", c)
+	}
+}
+
+func TestNestedBeginPanics(t *testing.T) {
+	r := newRig(t)
+	r.m0.Begin(r.sym, CodeRef{})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "nested Begin") {
+			t.Errorf("nested Begin panic = %q, want a nested-Begin panic", msg)
+		}
+	}()
+	r.m0.Begin(r.sym, CodeRef{})
+}
+
+func TestBeginReusesExecAfterFinish(t *testing.T) {
+	r := newRig(t)
+	x := r.m0.Begin(r.sym, CodeRef{})
+	x.Instr(1000, 0, 0).Finish()
+	y := r.m0.Begin(r.sym, CodeRef{})
+	if y != x {
+		t.Fatal("Begin after Finish allocated a new Exec")
+	}
+	if c := y.Finish(); c != 1 {
+		t.Fatalf("reused exec = %d cycles, want 1 (state not reset)", c)
+	}
+	if r.m1.Begin(r.sym, CodeRef{}) == x {
+		t.Fatal("two processors share one Exec")
 	}
 }

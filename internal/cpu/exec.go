@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"repro/internal/mem"
 	"repro/internal/perf"
 	"repro/internal/sim"
@@ -11,20 +13,28 @@ import (
 // memory ranges touched — and Finish converts that into cycles while
 // posting every event to the PMU counters under the procedure's symbol.
 //
-// An Exec is single-use and must be finished; the kernel charges the
-// returned cycles to the processor's timeline.
+// An activation must be finished; the kernel charges the returned cycles
+// to the processor's timeline.
 type Exec struct {
 	m      *Model
 	sym    perf.Symbol
 	cycles float64
-	done   bool
+	open   bool
 }
 
 // Begin opens an activation of sym whose code lives at code. The model
 // charges front-end costs (trace-cache and ITLB behaviour) for the code
 // footprint immediately.
+//
+// A processor executes one activation at a time, so every Begin reuses
+// the Exec held in the Model: the returned pointer is valid until Finish,
+// and a Begin while another activation is open panics.
 func (m *Model) Begin(sym perf.Symbol, code CodeRef) *Exec {
-	x := &Exec{m: m, sym: sym}
+	x := &m.exec
+	if x.open {
+		panic(fmt.Sprintf("cpu: nested Begin on processor %d", m.id))
+	}
+	*x = Exec{m: m, sym: sym, open: true}
 	if code.Size > 0 {
 		x.touchCode(code)
 	}
@@ -152,10 +162,10 @@ func (x *Exec) Uncached(n int) *Exec {
 // Finish closes the activation, posts the cycle total, and returns it
 // (always at least 1 so activations are visible on the timeline).
 func (x *Exec) Finish() sim.Cycles {
-	if x.done {
+	if !x.open {
 		panic("cpu: Exec finished twice")
 	}
-	x.done = true
+	x.open = false
 	c := uint64(x.cycles + 0.5)
 	if c == 0 {
 		c = 1

@@ -30,6 +30,7 @@ func BenchmarkEnvRun(b *testing.B) {
 			n++
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run(sim.Forever - 1)
 }
@@ -53,6 +54,7 @@ func BenchmarkSpinLockUncontended(b *testing.B) {
 			n++
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	eng.Run(sim.Forever - 1)
 }

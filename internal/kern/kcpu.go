@@ -218,7 +218,7 @@ func (c *KCPU) startSoftirqd() {
 	c.softirqdActive = true
 	c.state = stSoftirq
 	if c.softirqdCo == nil {
-		c.softirqdEnv = &Env{k: c.k, cpu: c, softirq: true}
+		c.softirqdEnv = newEnv(c.k, c, nil, true)
 		c.softirqdCo = sim.NewCoro(fmt.Sprintf("softirqd/%d", c.id), func(co *sim.Coro) {
 			c.softirqdLoop()
 		})
@@ -281,42 +281,44 @@ func (c *KCPU) softirqdIdle() {
 // boundary is invoked in engine context when a work item of env finishes:
 // queued interrupts run first, then pending bottom halves (unless the
 // context holds spinlocks), then preemption is honoured, and finally the
-// work's continuation resumes.
-func (c *KCPU) boundary(env *Env, resume func()) {
-	cont := func() {
-		if env.softirq || env.locksHeld > 0 {
-			resume()
-			return
-		}
-		if c.softPend != 0 && c.bhDisable == 0 {
-			c.suspendedResume = resume
-			c.startSoftirqd()
-			return
-		}
-		if c.needResched {
-			c.needResched = false
-			if c.curr != nil && len(c.rq) > 0 {
-				// Reschedule requested (quantum expiry or a resched IPI
-				// for a better-goodness waiter) with waiting work:
-				// round-robin.
-				t := c.curr
-				t.state = TaskRunnable
-				c.curr = nil
-				c.rq = append(c.rq, t)
-				c.state = stSched
-				c.schedule()
-				return
-			}
-		}
-		resume()
-	}
+// work's continuation (env.resume) runs.
+func (c *KCPU) boundary(env *Env) {
 	if len(c.irqQ) > 0 {
 		prev := c.state
 		c.state = stIRQ
-		c.beginIRQChain(func() { c.state = prev; cont() })
+		c.beginIRQChain(func() { c.state = prev; c.endBoundary(env) })
 		return
 	}
-	cont()
+	c.endBoundary(env)
+}
+
+// endBoundary is the part of boundary that runs once no interrupt is
+// queued.
+func (c *KCPU) endBoundary(env *Env) {
+	if env.softirq || env.locksHeld > 0 {
+		env.resume()
+		return
+	}
+	if c.softPend != 0 && c.bhDisable == 0 {
+		c.suspendedResume = env.resume
+		c.startSoftirqd()
+		return
+	}
+	if c.needResched {
+		c.needResched = false
+		if c.curr != nil && len(c.rq) > 0 {
+			// Reschedule requested (quantum expiry or a resched IPI for a
+			// better-goodness waiter) with waiting work: round-robin.
+			t := c.curr
+			t.state = TaskRunnable
+			c.curr = nil
+			c.rq = append(c.rq, t)
+			c.state = stSched
+			c.schedule()
+			return
+		}
+	}
+	env.resume()
 }
 
 // schedule picks the next task (running the context-switch cost) or goes

@@ -70,6 +70,21 @@ type Env struct {
 	softirq bool
 
 	locksHeld int
+
+	// endStep and resume continue a work item parked in Run, bound once
+	// in newEnv so that a step schedules no fresh closure. They read the
+	// processor from cpu: a context mid-step is its processor's current
+	// work and cannot be dispatched elsewhere until it resumes.
+	endStep func()
+	resume  func()
+}
+
+// newEnv builds an execution context with its step continuations bound.
+func newEnv(k *Kernel, c *KCPU, t *Task, softirq bool) *Env {
+	e := &Env{k: k, cpu: c, task: t, softirq: softirq}
+	e.endStep = func() { e.cpu.boundary(e) }
+	e.resume = func() { e.cpu.resumeContext(e) }
+	return e
 }
 
 // Kernel returns the owning kernel.
@@ -101,11 +116,8 @@ func (e *Env) Run(proc Proc, build func(x *cpu.Exec)) {
 		c.pendingClears = 0
 	}
 	c.lastSym = proc.Sym
-	co := e.co
-	c.k.Eng.After(cycles, func() {
-		c.boundary(e, func() { c.resumeContext(e) })
-	})
-	co.Park()
+	c.k.Eng.After(cycles, e.endStep)
+	e.co.Park()
 }
 
 // resumeContext continues a parked context: softirq daemons resume
@@ -202,7 +214,7 @@ func (k *Kernel) Spawn(name string, startCPU int, affinityMask uint32, body func
 		mmID:       k.seq,
 		structAddr: k.Space.Alloc(1024, "task_struct:"+name),
 	}
-	env := &Env{k: k, task: t}
+	env := newEnv(k, nil, t, false)
 	t.env = env
 	t.co = sim.NewCoro("task:"+name, func(co *sim.Coro) {
 		body(env)

@@ -16,9 +16,17 @@ package mem
 // Invalidation is lazy: clearing a presence bit does not walk the other
 // CPU's cache arrays; the stale tags simply fail the presence check on
 // their next use.
+//
+// The simulated address space is a bump allocator (Space), so the lines
+// in use are dense from address zero: the state lives in a slab indexed
+// by line number (addr >> LineShift). A zero entry is exactly a line the
+// directory has never seen. The slab starts at initialDirLines and
+// doubles whenever a write-side update lands past its end, as it does
+// when the TCP arena allocates at run time; read-side queries past the
+// end see an untouched line.
 type Directory struct {
 	cpus  int
-	lines map[Addr]*dirLine
+	lines []dirLine
 	// DMAReadInvalidates selects the chipset's transmit-DMA snoop
 	// behaviour: when true, a device read of a line evicts CPU copies
 	// (invalidate-on-snoop-read, as server chipsets of the era did to
@@ -34,35 +42,61 @@ type dirLine struct {
 	owner    int8 // valid only while dirty
 }
 
+// initialDirLines is the slab's starting size: 64 Ki lines, 4 MiB of
+// simulated address space.
+const initialDirLines = 1 << 16
+
 // NewDirectory returns an empty directory for a machine with cpus
 // processors (at most 32).
 func NewDirectory(cpus int) *Directory {
 	if cpus <= 0 || cpus > 32 {
 		panic("mem: directory supports 1..32 CPUs")
 	}
-	return &Directory{cpus: cpus, lines: make(map[Addr]*dirLine, 1<<16)}
+	return &Directory{cpus: cpus, lines: make([]dirLine, initialDirLines)}
 }
 
+// line returns the entry for a line-aligned address, growing the slab to
+// cover it.
 func (d *Directory) line(a Addr) *dirLine {
-	l := d.lines[a]
-	if l == nil {
-		l = &dirLine{}
-		d.lines[a] = l
+	i := uint64(a >> LineShift)
+	if i >= uint64(len(d.lines)) {
+		d.grow(i)
 	}
-	return l
+	return &d.lines[i]
+}
+
+// grow doubles the slab until it covers line index i.
+func (d *Directory) grow(i uint64) {
+	n := len(d.lines)
+	for uint64(n) <= i {
+		n *= 2
+	}
+	grown := make([]dirLine, n)
+	copy(grown, d.lines)
+	d.lines = grown
+}
+
+// peek returns the entry for a line-aligned address, or nil past the end
+// of the slab (a line never written).
+func (d *Directory) peek(a Addr) *dirLine {
+	i := uint64(a >> LineShift)
+	if i >= uint64(len(d.lines)) {
+		return nil
+	}
+	return &d.lines[i]
 }
 
 // HasCopy reports whether cpu currently holds a coherent copy of the
 // line-aligned address.
 func (d *Directory) HasCopy(cpu int, line Addr) bool {
-	l := d.lines[line]
+	l := d.peek(line)
 	return l != nil && l.presence&(1<<uint(cpu)) != 0
 }
 
 // DirtyElsewhere reports whether the line is modified in some CPU other
 // than cpu.
 func (d *Directory) DirtyElsewhere(cpu int, line Addr) bool {
-	l := d.lines[line]
+	l := d.peek(line)
 	return l != nil && l.dirty && int(l.owner) != cpu
 }
 
@@ -96,7 +130,7 @@ func (d *Directory) OnWrite(cpu int, line Addr) (remote bool) {
 // OnEvict records that cpu dropped its copy (last-level eviction). A
 // modified line owned by cpu is written back and becomes clean.
 func (d *Directory) OnEvict(cpu int, line Addr) {
-	l := d.lines[line]
+	l := d.peek(line)
 	if l == nil {
 		return
 	}
@@ -120,7 +154,7 @@ func (d *Directory) DMAWrite(line Addr) {
 // modified CPU copy is flushed to memory first. Whether CPU copies
 // survive depends on DMAReadInvalidates.
 func (d *Directory) DMARead(line Addr) (wasDirty bool) {
-	l := d.lines[line]
+	l := d.peek(line)
 	if l == nil {
 		return false
 	}
@@ -131,7 +165,3 @@ func (d *Directory) DMARead(line Addr) (wasDirty bool) {
 	}
 	return wasDirty
 }
-
-// Lines reports how many distinct lines the directory tracks, for tests
-// and capacity diagnostics.
-func (d *Directory) Lines() int { return len(d.lines) }

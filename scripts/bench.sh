@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Benchmark harness: run the scheduler/coroutine/timer microbenchmarks
-# across -cpu 1,2,4 plus the end-to-end sweep benches, and serialize the
-# results to a machine-readable BENCH_<n>.json (ns/op, allocs/op per
-# benchmark) via scripts/bench_compare.go. This file series is the
-# repository's recorded performance trajectory; CI regenerates it per PR
-# and gates on >20% regression against the committed baseline.
+# Benchmark harness: run the engine/coroutine/timer/kernel-step and
+# memory-hierarchy microbenchmarks across -cpu 1,2,4 plus the end-to-end
+# sweep and open-loop benches, and serialize the results to a
+# machine-readable BENCH_<n>.json (ns/op, B/op, allocs/op per benchmark)
+# via scripts/bench_compare.go. Every bench runs with -benchmem, so each
+# allocs/op in the JSON is a measurement, not the parser's default of 0.
+# This file series is the repository's recorded performance trajectory;
+# CI regenerates it per PR and fails when a benchmark's ns/op exceeds 2×
+# the committed baseline or its allocs/op grows at all
+# (`go run ./scripts compare -threshold 2.0 BASE CUR`).
 #
 #   ./scripts/bench.sh               # writes BENCH_<next>.json in the repo root
 #   BENCH_OUT=BENCH_ci.json ./scripts/bench.sh   # explicit output (CI)
@@ -17,17 +21,18 @@ cd "$(dirname "$0")/.."
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-echo "== microbenchmarks (internal/sim, internal/kern) =="
-go test ./internal/sim ./internal/kern \
-    -run XXX -bench 'Engine|Coro|Timer|RNG' -benchmem -count 1 -cpu 1,2,4 \
+echo "== microbenchmarks (internal/sim, internal/kern, internal/mem) =="
+go test ./internal/sim ./internal/kern ./internal/mem \
+    -run XXX -bench 'Engine|Coro|Timer|RNG|EnvRun|SpinLock|Hierarchy|Coherence|TLB' \
+    -benchmem -count 1 -cpu 1,2,4 \
     | tee "$TMP/bench.txt"
 
 echo "== sweep benchmarks (end to end) =="
-go test . -run XXX -bench 'BenchmarkSweep' -benchtime 1x -count 1 \
+go test . -run XXX -bench 'BenchmarkSweep' -benchtime 1x -benchmem -count 1 \
     | tee -a "$TMP/bench.txt"
 
 echo "== open-loop cell (100k-connection churn, run to completion) =="
-go test . -run XXX -bench 'BenchmarkOpenLoopCell' -benchtime 1x -count 1 -timeout 30m \
+go test . -run XXX -bench 'BenchmarkOpenLoopCell' -benchtime 1x -benchmem -count 1 -timeout 30m \
     | tee -a "$TMP/bench.txt"
 
 out="${BENCH_OUT:-}"
