@@ -128,17 +128,21 @@ func (r *registry) upsert(url, version string, concurrency int) bool {
 	return !ok
 }
 
-// tryAcquire claims a slot on the best healthy worker, preferring any
-// worker other than avoid (a retry must land elsewhere when the fleet
-// allows it). Among candidates it minimizes inflight/concurrency —
-// the weighted plan — breaking ties by URL so planning is stable.
-// Returns nil when no healthy worker has a free slot.
+// tryAcquire claims a slot on the best healthy worker other than avoid
+// (a retry must land elsewhere when the fleet allows it). Among
+// candidates it minimizes inflight/concurrency — the weighted plan —
+// breaking ties by URL so planning is stable. The avoided worker is a
+// fallback only when no other worker could take the cell at all, so a
+// single-worker fleet still retries on itself; when the others are
+// merely busy, it returns nil and the retry waits for their slots
+// instead of going straight back to the worker that just failed it.
+// Returns nil when no eligible worker has a free slot.
 func (r *registry) tryAcquire(avoid string) *lease {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	pick := r.best(avoid)
-	if pick == nil {
-		pick = r.best("") // a single-worker fleet still retries on itself
+	if pick == nil && !r.alternative(avoid) {
+		pick = r.best("")
 	}
 	if pick == nil {
 		return nil
@@ -149,6 +153,19 @@ func (r *registry) tryAcquire(avoid string) *lease {
 	pick.inflight++
 	pick.dispatched++
 	return &lease{url: pick.url, down: pick.down}
+}
+
+// alternative reports whether a worker other than avoid could take a
+// dispatch once it has a free slot: one that is healthy and whose
+// breaker is not open in its cooloff. Callers hold r.mu.
+func (r *registry) alternative(avoid string) bool {
+	now := time.Now()
+	for _, w := range r.workers {
+		if w.healthy && w.url != avoid && !(w.brState == brOpen && now.Before(w.brUntil)) {
+			return true
+		}
+	}
+	return false
 }
 
 // best returns the lowest-load healthy worker with a free slot,
@@ -232,6 +249,9 @@ func (r *registry) fail(url string) bool {
 	if w.brState == brHalfOpen || (w.brState == brClosed && w.consecFails >= r.breakerThreshold) {
 		w.brState = brOpen
 		w.brUntil = time.Now().Add(r.breakerCooloff)
+		// A retry waiting for this worker's slot may now have to fall
+		// back to the worker it avoids.
+		r.wake()
 		// Dispatchers blocked on the notify channel must re-plan when the
 		// probe window opens, not wait for an unrelated wakeup.
 		time.AfterFunc(r.breakerCooloff, func() {

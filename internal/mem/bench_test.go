@@ -51,3 +51,25 @@ func BenchmarkTLB(b *testing.B) {
 		t.Access(0)
 	}
 }
+
+// BenchmarkTLBMissEvict measures the miss path: 96 pages cycled through
+// a 64-entry TLB, so every access walks and evicts the LRU entry.
+func BenchmarkTLBMissEvict(b *testing.B) {
+	t := NewTLB(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Access(Addr(i%96) * PageSize)
+	}
+}
+
+// BenchmarkCacheFillEvict measures LLC-geometry fills that each displace
+// a valid line: a stream over twice the cache's capacity.
+func BenchmarkCacheFillEvict(b *testing.B) {
+	_, _, llc := P4XeonMP()
+	c := NewCache(llc)
+	lines := 2 * llc.Size / LineSize
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Fill(Addr(i%lines) << LineShift)
+	}
+}

@@ -25,18 +25,19 @@ func TraceCacheCfg() CacheCfg {
 	return CacheCfg{Name: "TC", Size: 16 << 10, Ways: 8, LineSize: LineSize}
 }
 
-type cacheLine struct {
-	tag   Addr // line-aligned address
-	valid bool
-	lru   uint64
-}
-
 // Cache is one set-associative, LRU cache level. It tracks only presence
 // (tags); dirtiness and cross-CPU validity live in the coherence
 // Directory so invalidation can be lazy.
+//
+// The sets are flat parallel arrays indexed by set*ways+way: tags holds
+// line|1 for a valid way and 0 for an invalid one (lines are 64-byte
+// aligned, so bit 0 is free to mean "valid"), and lru holds each way's
+// last-use tick.
 type Cache struct {
 	cfg     CacheCfg
-	sets    [][]cacheLine
+	tags    []Addr
+	lru     []uint64
+	ways    int
 	mask    Addr
 	tick    uint64
 	hits    uint64
@@ -56,19 +57,22 @@ func NewCache(cfg CacheCfg) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache %q set count %d not a power of two", cfg.Name, nSets))
 	}
-	sets := make([][]cacheLine, nSets)
-	backing := make([]cacheLine, nLines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	return &Cache{
+		cfg:  cfg,
+		tags: make([]Addr, nLines),
+		lru:  make([]uint64, nLines),
+		ways: cfg.Ways,
+		mask: Addr(nSets - 1),
 	}
-	return &Cache{cfg: cfg, sets: sets, mask: Addr(nSets - 1)}
 }
 
 // Cfg returns the cache's geometry.
 func (c *Cache) Cfg() CacheCfg { return c.cfg }
 
-func (c *Cache) set(line Addr) []cacheLine {
-	return c.sets[(line>>LineShift)&c.mask]
+// set returns the first way index of the line's set and its tag slice.
+func (c *Cache) set(line Addr) (int, []Addr) {
+	base := int((line>>LineShift)&c.mask) * c.ways
+	return base, c.tags[base : base+c.ways]
 }
 
 // Lookup reports whether the line-aligned address is present, updating
@@ -76,10 +80,11 @@ func (c *Cache) set(line Addr) []cacheLine {
 func (c *Cache) Lookup(line Addr) bool {
 	c.lookups++
 	c.tick++
-	set := c.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].lru = c.tick
+	base, tags := c.set(line)
+	want := line | 1
+	for i, tag := range tags {
+		if tag == want {
+			c.lru[base+i] = c.tick
 			c.hits++
 			return true
 		}
@@ -87,43 +92,48 @@ func (c *Cache) Lookup(line Addr) bool {
 	return false
 }
 
-// Fill installs the line, evicting the LRU way if necessary. It returns
-// the evicted line address and true if a valid line was displaced.
+// Fill installs the line-aligned address, evicting if necessary. The
+// victim is the last invalid way of the set, else the least recently used
+// valid way. Filling a line that is already present only refreshes its
+// recency. It returns the evicted line address and true if a valid line
+// was displaced.
 func (c *Cache) Fill(line Addr) (evicted Addr, wasValid bool) {
 	c.tick++
-	set := c.set(line)
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			// Already present (e.g. refill after a lazy invalidation):
-			// refresh recency only.
-			set[i].lru = c.tick
+	base, tags := c.set(line)
+	lru := c.lru[base : base+len(tags)]
+	want := line | 1
+	victim := -1
+	for i, tag := range tags {
+		if tag == want {
+			lru[i] = c.tick
 			return 0, false
 		}
-		if !set[i].valid {
-			victim = i
-			wasValid = false
-			// Prefer an invalid way, but keep scanning for an existing
-			// copy of the line.
-			continue
-		}
-		if set[victim].valid && set[i].lru < set[victim].lru {
+		if tag == 0 {
 			victim = i
 		}
 	}
-	if set[victim].valid {
-		evicted, wasValid = set[victim].tag, true
+	if victim < 0 {
+		victim = 0
+		oldest := lru[0]
+		for i := 1; i < len(lru); i++ {
+			if lru[i] < oldest {
+				victim, oldest = i, lru[i]
+			}
+		}
+		evicted, wasValid = tags[victim]&^1, true
 	}
-	set[victim] = cacheLine{tag: line, valid: true, lru: c.tick}
+	tags[victim] = want
+	lru[victim] = c.tick
 	return evicted, wasValid
 }
 
 // Invalidate drops the line if present.
 func (c *Cache) Invalidate(line Addr) {
-	set := c.set(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].valid = false
+	_, tags := c.set(line)
+	want := line | 1
+	for i, tag := range tags {
+		if tag == want {
+			tags[i] = 0
 			return
 		}
 	}
@@ -131,11 +141,7 @@ func (c *Cache) Invalidate(line Addr) {
 
 // Flush empties the cache.
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
+	clear(c.tags)
 }
 
 // HitRate reports lifetime hits/lookups, for diagnostics and tests.

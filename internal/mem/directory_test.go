@@ -82,11 +82,40 @@ func (d *refDirectory) DMARead(line Addr) bool {
 }
 
 // refHierarchy replays Hierarchy.Access against the reference directory
-// with its own caches, so a hierarchy access can be compared end to end.
+// with reference caches, so a hierarchy access can be compared end to end.
 type refHierarchy struct {
 	cpu         int
-	l1, l2, llc *Cache
+	l1, l2, llc *refCache
 	dir         *refDirectory
+}
+
+func (h *refHierarchy) AccessRange(addr Addr, size int, write bool) RangeResult {
+	var r RangeResult
+	if size <= 0 {
+		return r
+	}
+	last := LineOf(addr + Addr(size) - 1)
+	for line := LineOf(addr); ; line += LineSize {
+		a := h.Access(line, write)
+		r.Lines++
+		switch a.Level {
+		case LevelL1:
+			r.L1Hits++
+		case LevelL2:
+			r.L2Hits++
+		case LevelLLC:
+			r.LLCHits++
+		case LevelMemory:
+			r.Misses++
+			if a.Remote {
+				r.Remote++
+			}
+		}
+		if line == last {
+			break
+		}
+	}
+	return r
 }
 
 func (h *refHierarchy) Access(line Addr, write bool) AccessResult {
@@ -143,7 +172,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 			rs := make([]*refHierarchy, cpus)
 			for c := 0; c < cpus; c++ {
 				hs[c] = NewHierarchy(c, l1, l2, l3, d)
-				rs[c] = &refHierarchy{cpu: c, l1: NewCache(l1), l2: NewCache(l2), llc: NewCache(l3), dir: ref}
+				rs[c] = &refHierarchy{cpu: c, l1: newRefCache(l1), l2: newRefCache(l2), llc: newRefCache(l3), dir: ref}
 			}
 
 			// Half the traffic goes to a hot set so lines are shared and

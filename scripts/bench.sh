@@ -23,7 +23,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 echo "== microbenchmarks (internal/sim, internal/kern, internal/mem) =="
 go test ./internal/sim ./internal/kern ./internal/mem \
-    -run XXX -bench 'Engine|Coro|Timer|RNG|EnvRun|SpinLock|Hierarchy|Coherence|TLB' \
+    -run XXX -bench 'Engine|Coro|Timer|RNG|EnvRun|SpinLock|Hierarchy|Coherence|TLB|Cache' \
     -benchmem -count 1 -cpu 1,2,4 \
     | tee "$TMP/bench.txt"
 
