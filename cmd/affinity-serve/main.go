@@ -58,6 +58,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -83,19 +84,20 @@ func main() {
 		return
 	}
 
+	// Parsed once, here: a malformed default fails fast, and no request
+	// re-parses it (or re-reads its @file).
+	var defWorkload *workload.Spec
+	var err error
 	if *workloadFlag != "" {
-		// Fail fast on a malformed default rather than 400-ing every
-		// future request.
-		if _, err := core.ParseWorkload(*workloadFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-serve:", err)
+		if defWorkload, err = core.ParseWorkload(*workloadFlag); err != nil {
+			fmt.Fprintln(os.Stderr, "affinity-serve: -workload:", err)
 			os.Exit(2)
 		}
 	}
-	if *coalesceFlag != "" {
-		if _, err := core.ParseCoalesce(*coalesceFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-serve:", err)
-			os.Exit(2)
-		}
+	defCoalesce, err := core.ParseCoalesce(*coalesceFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "affinity-serve: -coalesce:", err)
+		os.Exit(2)
 	}
 
 	c := cache.New(*cacheBytes, *cacheDir)
@@ -106,8 +108,8 @@ func main() {
 		Timeout:         *timeout,
 		SimBudget:       *simBudget,
 		MaxSimCycles:    *maxSimCycles,
-		DefaultWorkload: *workloadFlag,
-		DefaultCoalesce: *coalesceFlag,
+		DefaultWorkload: defWorkload,
+		DefaultCoalesce: defCoalesce,
 	})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}

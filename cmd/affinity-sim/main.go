@@ -177,12 +177,12 @@ func main() {
 	if *faultsFlag != "" {
 		sched, err := affinity.ParseFaults(*faultsFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
+			fmt.Fprintln(os.Stderr, "affinity-sim: -faults:", err)
 			os.Exit(2)
 		}
 		t := cfg.Topo()
 		if err := sched.Validate(len(t.NICs), t.NumCPUs, cfg.WarmupCycles+cfg.MeasureCycles); err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
+			fmt.Fprintln(os.Stderr, "affinity-sim: -faults:", err)
 			os.Exit(2)
 		}
 		if !sched.Empty() {
@@ -192,7 +192,7 @@ func main() {
 	if *workloadFlag != "" {
 		spec, err := affinity.ParseWorkload(*workloadFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
+			fmt.Fprintln(os.Stderr, "affinity-sim: -workload:", err)
 			os.Exit(2)
 		}
 		cfg.Workload = spec
@@ -200,7 +200,7 @@ func main() {
 	if *coalesceFlag != "" {
 		co, err := affinity.ParseCoalesce(*coalesceFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "affinity-sim:", err)
+			fmt.Fprintln(os.Stderr, "affinity-sim: -coalesce:", err)
 			os.Exit(2)
 		}
 		cfg.Coalesce = co

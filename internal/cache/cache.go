@@ -1,11 +1,12 @@
 package cache
 
 import (
-	"container/list"
-	"sync"
+	"context"
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/perf"
 )
 
@@ -34,18 +35,12 @@ const DefaultMaxBytes = 256 << 20
 type Cache struct {
 	maxBytes int64
 	dir      string
-
-	mu     sync.Mutex
-	ll     *list.List // front = most recently used
-	byKey  map[string]*list.Element
-	flight map[string]*flightCall
-	bytes  int64
+	mem      *lru.Group[*core.Result]
 
 	hits            atomic.Uint64
 	misses          atomic.Uint64
 	coalesced       atomic.Uint64
 	diskHits        atomic.Uint64
-	evictions       atomic.Uint64
 	sims            atomic.Uint64
 	diskErrors      atomic.Uint64
 	corruptDiscards atomic.Uint64
@@ -53,16 +48,9 @@ type Cache struct {
 	inflight        atomic.Int64
 }
 
-type entry struct {
-	key  string
-	res  *core.Result
-	size int64
-}
-
-type flightCall struct {
-	done chan struct{}
-	res  *core.Result // set before done is closed; nil if the leader panicked
-}
+// errAborted marks an aborted simulation as a failed lead: the group
+// hands the result back to its own caller only and stores nothing.
+var errAborted = errors.New("simulation aborted")
 
 // New builds a cache bounded to maxBytes of in-memory results
 // (maxBytes <= 0 means unbounded) with an optional disk store rooted at
@@ -71,9 +59,7 @@ func New(maxBytes int64, dir string) *Cache {
 	return &Cache{
 		maxBytes: maxBytes,
 		dir:      dir,
-		ll:       list.New(),
-		byKey:    make(map[string]*list.Element),
-		flight:   make(map[string]*flightCall),
+		mem:      lru.New(maxBytes, resultBytes),
 	}
 }
 
@@ -97,91 +83,41 @@ func (c *Cache) GetOrRun(cfg core.Config, run core.RunFunc) *core.Result {
 		return run(cfg)
 	}
 	key := Fingerprint(cfg)
-	for {
-		c.mu.Lock()
-		if el, ok := c.byKey[key]; ok {
-			c.ll.MoveToFront(el)
-			res := el.Value.(*entry).res
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return res
-		}
-		if fl, ok := c.flight[key]; ok {
-			c.mu.Unlock()
-			c.coalesced.Add(1)
-			<-fl.done
-			if fl.res != nil {
-				return fl.res
-			}
-			// The leader panicked; loop and contend for leadership so
-			// the failure propagates here too instead of hanging.
-			continue
-		}
-		fl := &flightCall{done: make(chan struct{})}
-		c.flight[key] = fl
-		c.mu.Unlock()
-		return c.lead(key, cfg, run, fl)
+	res, how, _ := c.mem.Do(context.Background(), key, func() (*core.Result, error) {
+		return c.lead(key, cfg, run)
+	})
+	switch how {
+	case lru.Hit:
+		c.hits.Add(1)
+	case lru.Shared:
+		c.coalesced.Add(1)
 	}
-}
-
-// lead performs the non-deduplicated path: disk lookup, then simulation,
-// then population of both stores, releasing singleflight waiters on the
-// way out (including on panic).
-func (c *Cache) lead(key string, cfg core.Config, run core.RunFunc, fl *flightCall) *core.Result {
-	defer func() {
-		c.mu.Lock()
-		delete(c.flight, key)
-		c.mu.Unlock()
-		close(fl.done)
-	}()
-	c.misses.Add(1)
-	res, ok := c.loadDisk(key, cfg)
-	if ok {
-		c.diskHits.Add(1)
-	} else {
-		c.sims.Add(1)
-		c.inflight.Add(1)
-		res = run(cfg)
-		c.inflight.Add(-1)
-		if res != nil && res.Aborted {
-			// An aborted run is a failure signal, not a result: hand it
-			// back to the caller that owns the cancel, but keep it out of
-			// both stores and leave fl.res nil, so coalesced waiters
-			// re-contend for leadership with their own (live) signal
-			// instead of inheriting this caller's abort.
-			c.aborts.Add(1)
-			return res
-		}
-		c.storeDisk(key, res)
-	}
-	c.insert(key, res)
-	fl.res = res
 	return res
 }
 
-// insert adds a result to the LRU, evicting from the cold end until the
-// byte bound holds again. A single result larger than the whole bound is
-// not admitted (it would only evict everything else for one entry).
-func (c *Cache) insert(key string, res *core.Result) {
-	size := resultBytes(res)
-	if c.maxBytes > 0 && size > c.maxBytes {
-		return
+// lead is the non-deduplicated path beneath the memory store: disk
+// lookup, then simulation, populating the disk store on the way out.
+func (c *Cache) lead(key string, cfg core.Config, run core.RunFunc) (*core.Result, error) {
+	c.misses.Add(1)
+	if res, ok := c.loadDisk(key, cfg); ok {
+		c.diskHits.Add(1)
+		return res, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byKey[key]; ok {
-		return // a racing leader of an earlier generation already did
+	c.sims.Add(1)
+	c.inflight.Add(1)
+	res := run(cfg)
+	c.inflight.Add(-1)
+	if res != nil && res.Aborted {
+		// An aborted run is a failure signal, not a result: hand it back
+		// to the caller that owns the cancel, but keep it out of both
+		// stores, so coalesced waiters re-contend for leadership with
+		// their own (live) signal instead of inheriting this caller's
+		// abort.
+		c.aborts.Add(1)
+		return res, errAborted
 	}
-	c.byKey[key] = c.ll.PushFront(&entry{key: key, res: res, size: size})
-	c.bytes += size
-	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.ll.Len() > 1 {
-		cold := c.ll.Back()
-		e := cold.Value.(*entry)
-		c.ll.Remove(cold)
-		delete(c.byKey, e.key)
-		c.bytes -= e.size
-		c.evictions.Add(1)
-	}
+	c.storeDisk(key, res)
+	return res, nil
 }
 
 // resultBytes estimates the resident size of one cached Result: the
@@ -235,9 +171,7 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	entries, bytes := c.ll.Len(), c.bytes
-	c.mu.Unlock()
+	entries, bytes, evictions := c.mem.Len()
 	return Stats{
 		Entries:         entries,
 		Bytes:           bytes,
@@ -247,7 +181,7 @@ func (c *Cache) Stats() Stats {
 		Coalesced:       c.coalesced.Load(),
 		DiskHits:        c.diskHits.Load(),
 		Sims:            c.sims.Load(),
-		Evictions:       c.evictions.Load(),
+		Evictions:       evictions,
 		DiskErrors:      c.diskErrors.Load(),
 		CorruptDiscards: c.corruptDiscards.Load(),
 		Aborts:          c.aborts.Load(),

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/cache"
+	"repro/internal/lru"
 	"repro/internal/serve"
 )
 
@@ -89,7 +90,7 @@ type Options struct {
 // serve it like any http.Handler, Close when done.
 type Coordinator struct {
 	reg     *registry
-	memo    *memo
+	memo    *lru.Group[[]byte] // fleet-wide dedup of raw NDJSON lines; nil = disabled
 	journal *Journal
 	metrics *cmetrics
 	client  *http.Client
@@ -171,7 +172,7 @@ func New(opts Options) (*Coordinator, error) {
 		entries = 65536
 	}
 	if entries > 0 {
-		c.memo = newMemo(entries)
+		c.memo = lru.New(int64(entries), func([]byte) int64 { return 1 })
 	}
 	if opts.JournalDir != "" {
 		j, err := OpenJournal(opts.JournalDir, opts.JournalSync)
@@ -512,6 +513,7 @@ type HealthResponse struct {
 
 func (c *Coordinator) health() HealthResponse {
 	table := c.reg.snapshot()
+	memoEntries, _, _ := c.memo.Len()
 	h := HealthResponse{
 		Status:       "ok",
 		Version:      c.version,
@@ -525,7 +527,7 @@ func (c *Coordinator) health() HealthResponse {
 			ResumeHits:      c.metrics.resumeHits.Load(),
 			Failed:          c.metrics.failed.Load(),
 		},
-		MemoEntries: c.memo.len(),
+		MemoEntries: memoEntries,
 		Journal:     c.journal.Stats(),
 		WorkerTable: table,
 	}
@@ -594,8 +596,10 @@ func (c *Coordinator) cell(ctx context.Context, cell serve.SweepCell) ([]byte, e
 	if c.memo == nil {
 		return do()
 	}
-	line, deduped, err := c.memo.getOrDo(ctx, key, do)
-	if deduped {
+	// Above the workers' caches: those save the simulation, this saves
+	// the round trip. A failed dispatch poisons no waiter (they re-lead).
+	line, how, err := c.memo.Do(ctx, key, do)
+	if err == nil && how != lru.Led {
 		c.metrics.deduped.Add(1)
 	}
 	return line, err

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -399,6 +400,21 @@ func TestCoordinatorRejectsBadRequests(t *testing.T) {
 		code, resp := post(t, cts.URL+"/v1/sweep", body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", name, code, resp)
+		}
+	}
+	// The HTTP API never reads files: "@file" specs are a field-level
+	// 400 on the coordinator too, before any fingerprinting.
+	for _, path := range []string{"/v1/sweep", "/v1/run"} {
+		for field, body := range map[string]string{
+			"faults":   `{"faults":"@schedule.json"}`,
+			"workload": `{"workload":"@/nonexistent"}`,
+			"coalesce": `{"coalesce":"@coalesce.json"}`,
+		} {
+			code, resp := post(t, cts.URL+path, body)
+			var got struct{ Error, Field string }
+			if err := json.Unmarshal([]byte(resp), &got); err != nil || code != http.StatusBadRequest || got.Field != field || !strings.Contains(got.Error, "only on the command line") {
+				t.Errorf("%s %s: status %d (%s), want a 400 naming %q", path, body, code, resp, field)
+			}
 		}
 	}
 	code, resp := post(t, cts.URL+"/v1/register", `{"url":"not-a-url"}`)

@@ -260,7 +260,7 @@ func NewMachine(cfg Config) *Machine {
 	}
 	wl, err := workload.Build(cfg.Workload)
 	if err != nil {
-		panic("core: " + err.Error())
+		panic("core: workload: " + err.Error())
 	}
 	t := plan.Topo
 	eng := sim.NewEngine(cfg.Seed)

@@ -42,11 +42,8 @@ func ParseDirection(s string) (ttcp.Direction, error) {
 	return 0, fmt.Errorf("unknown direction %q (tx|rx)", s)
 }
 
-// ParseWorkload resolves a workload spec from the shared CLI/HTTP
-// syntax: a kind followed by comma-separated key=value pairs
-// ("openloop,conns=100000,arrival=pareto"), or "@file.json" to load a
-// JSON Spec. CLI flags, the HTTP API and the examples all share this
-// parser. Defaults are applied and the spec validated.
+// ParseWorkload resolves a workload spec (workload.Parse): CLI flags,
+// the HTTP API and the examples all share this parser.
 func ParseWorkload(s string) (*workload.Spec, error) {
 	return workload.Parse(s)
 }
@@ -74,11 +71,8 @@ func ParsePolicy(s string) (topo.PlacementPolicy, error) {
 	return pol, nil
 }
 
-// ParseCoalesce resolves an interrupt-coalescing spec from the shared
-// CLI/HTTP syntax: a mode followed by comma-separated key=value pairs
-// ("timer,usecs=100", "adaptive,min=5,max=250,frames=8"), or
-// "@file.json" to load a JSON netdev.CoalesceConfig. Empty means the
-// legacy throttle (nil). Defaults are applied and the config validated.
+// ParseCoalesce resolves an interrupt-coalescing spec
+// (netdev.ParseCoalesce); empty means the legacy throttle (nil).
 func ParseCoalesce(s string) (*netdev.CoalesceConfig, error) {
 	return netdev.ParseCoalesce(s)
 }

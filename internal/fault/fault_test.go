@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,6 +23,13 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 		{"loss rate zero", Event{Kind: KindLoss, NIC: -1}, "does nothing"},
 		{"burst inert", Event{Kind: KindBurst, NIC: -1, BadRate: 1}, "never enters"},
 		{"burst bad prob", Event{Kind: KindBurst, NIC: -1, PEnterBad: -0.1}, "outside [0,1]"},
+		// NaN fails every comparison, so each bound must be tested as
+		// "inside", not "outside".
+		{"loss rate NaN", Event{Kind: KindLoss, NIC: -1, Rate: math.NaN()}, "rate NaN outside [0,1]"},
+		{"burst rate NaN", Event{Kind: KindBurst, NIC: -1, Rate: math.NaN(), PEnterBad: 0.1}, "rate NaN outside"},
+		{"burst bad_rate NaN", Event{Kind: KindBurst, NIC: -1, BadRate: math.NaN(), PEnterBad: 0.1}, "bad_rate NaN outside"},
+		{"burst p_enter_bad NaN", Event{Kind: KindBurst, NIC: -1, PEnterBad: math.NaN()}, "p_enter_bad NaN outside"},
+		{"burst p_exit_bad NaN", Event{Kind: KindBurst, NIC: -1, PEnterBad: 0.1, PExitBad: math.NaN()}, "p_exit_bad NaN outside"},
 		{"nic out of range", Event{Kind: KindFlap, NIC: 4, From: 1, Until: 2}, "outside machine"},
 		{"nic below -1", Event{Kind: KindLoss, NIC: -2, Rate: 0.1}, "outside machine"},
 		{"empty window", Event{Kind: KindFlap, NIC: 0, From: 10, Until: 10}, "is empty"},
@@ -110,6 +118,58 @@ func TestParseJSONFile(t *testing.T) {
 	}
 	if _, err := Parse("@" + path + ".missing"); err == nil {
 		t.Fatal("missing file did not fail")
+	}
+}
+
+// TestOmittedNICMatchesAcrossForms: with nic omitted, the inline and
+// JSON forms of every kind decode to the same event — every NIC for the
+// wire and window faults, NIC 0 for a storm.
+func TestOmittedNICMatchesAcrossForms(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ inline, json string }{
+		{"loss,rate=0.01", `{"kind":"loss","rate":0.01}`},
+		{"burst,penter=0.1,pexit=0.2,bad=0.9", `{"kind":"burst","p_enter_bad":0.1,"p_exit_bad":0.2,"bad_rate":0.9}`},
+		{"flap,from=10,until=20", `{"kind":"flap","from":10,"until":20}`},
+		{"delay,delay=400,jitter=100", `{"kind":"delay","delay_cycles":400,"jitter_cycles":100}`},
+		{"stall,from=10,until=20", `{"kind":"stall","from":10,"until":20}`},
+		{"storm,cpu=1,period=5000", `{"kind":"storm","cpu":1,"period_cycles":5000}`},
+	} {
+		inline, err := Parse(tc.inline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "s.json")
+		if err := os.WriteFile(path, []byte(`{"events":[`+tc.json+`]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, err := Parse("@" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded Schedule
+		if err := json.Unmarshal([]byte(`{"events":[`+tc.json+`]}`), &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(inline, fromFile) || !reflect.DeepEqual(*inline, decoded) {
+			t.Errorf("%s: inline %+v, @file %+v, json.Unmarshal %+v", tc.inline, inline.Events, fromFile.Events, decoded.Events)
+		}
+		want := -1
+		if inline.Events[0].Kind == KindStorm {
+			want = 0
+		}
+		if got := inline.Events[0].NIC; got != want {
+			t.Errorf("%s: nic %d, want %d", tc.inline, got, want)
+		}
+	}
+}
+
+func TestParseRejectsUnknownJSONFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.json")
+	if err := os.WriteFile(path, []byte(`{"events":[{"kind":"loss","rate":0.01,"nics":1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse("@" + path); err == nil {
+		t.Fatal("a misspelled event field was silently ignored")
 	}
 }
 

@@ -15,11 +15,10 @@
 package netdev
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // Coalescing mode names. The zero value selects legacy.
@@ -91,23 +90,26 @@ func (c *CoalesceConfig) ApplyDefaults() {
 
 // Validate rejects configs the device cannot honour.
 func (c CoalesceConfig) Validate() error {
+	if c.Frames < 0 {
+		return fmt.Errorf("frames %d is negative", c.Frames)
+	}
 	switch c.Mode {
 	case "", CoalesceLegacy:
 		return nil
 	case CoalesceTimer:
 		if c.Usecs == 0 {
-			return fmt.Errorf("coalesce: timer mode needs usecs > 0")
+			return fmt.Errorf("timer mode needs usecs > 0")
 		}
 	case CoalesceFrames:
 		if c.Usecs == 0 || c.Frames < 1 {
-			return fmt.Errorf("coalesce: frames mode needs usecs > 0 and frames >= 1")
+			return fmt.Errorf("frames mode needs usecs > 0 and frames >= 1")
 		}
 	case CoalesceAdaptive:
 		if c.MinUsecs == 0 || c.MaxUsecs < c.MinUsecs || c.Frames < 1 {
-			return fmt.Errorf("coalesce: adaptive mode needs 0 < min <= max and frames >= 1")
+			return fmt.Errorf("adaptive mode needs 0 < min <= max and frames >= 1")
 		}
 	default:
-		return fmt.Errorf("coalesce: unknown mode %q (legacy|timer|frames|adaptive)", c.Mode)
+		return fmt.Errorf("unknown mode %q (legacy|timer|frames|adaptive)", c.Mode)
 	}
 	return nil
 }
@@ -134,60 +136,27 @@ func (c CoalesceConfig) String() string {
 	return b.String()
 }
 
-// ParseCoalesce resolves a coalescing spec: "" for legacy,
-// "@file.json" for a JSON CoalesceConfig, or an inline
-// "mode,key=value,..." like fault and workload specs, e.g.
-//
-//	timer,usecs=100
-//	frames,frames=16,usecs=200
-//	adaptive,min=5,max=250,frames=8
-//
-// Defaults are applied and the result validated; a nil return with nil
-// error means the legacy throttle.
-func ParseCoalesce(spec string) (*CoalesceConfig, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
+// ParseCoalesce resolves "" (legacy: nil, nil), "@file.json" (a JSON
+// CoalesceConfig) or the inline form of package spec, e.g.
+// "timer,usecs=100" or "adaptive,min=5,max=250,frames=8". Defaults are
+// applied and the result validated.
+func ParseCoalesce(s string) (*CoalesceConfig, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
 		return nil, nil
 	}
 	var c CoalesceConfig
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return nil, fmt.Errorf("coalesce: %w", err)
-		}
-		if err := json.Unmarshal(data, &c); err != nil {
-			return nil, fmt.Errorf("coalesce: %s: %w", spec[1:], err)
+	if path, ok := strings.CutPrefix(s, "@"); ok {
+		if err := spec.ReadFile(path, &c); err != nil {
+			return nil, err
 		}
 	} else {
-		fields := strings.Split(spec, ",")
-		c.Mode = strings.TrimSpace(fields[0])
-		for _, f := range fields[1:] {
-			f = strings.TrimSpace(f)
-			if f == "" {
-				continue
-			}
-			kv := strings.SplitN(f, "=", 2)
-			if len(kv) != 2 {
-				return nil, fmt.Errorf("coalesce: %q is not key=value", f)
-			}
-			key := strings.TrimSpace(kv[0])
-			val, err := strconv.ParseUint(strings.TrimSpace(kv[1]), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("coalesce: %s: %w", key, err)
-			}
-			switch key {
-			case "usecs":
-				c.Usecs = val
-			case "frames":
-				c.Frames = int(val)
-			case "min", "min_usecs":
-				c.MinUsecs = val
-			case "max", "max_usecs":
-				c.MaxUsecs = val
-			default:
-				return nil, fmt.Errorf("coalesce: unknown key %q (usecs|frames|min|max)", key)
-			}
+		mode, err := spec.Bind(s, spec.Keys{"usecs": &c.Usecs, "frames": &c.Frames,
+			"min": &c.MinUsecs, "min_usecs": &c.MinUsecs, "max": &c.MaxUsecs, "max_usecs": &c.MaxUsecs})
+		if err != nil {
+			return nil, err
 		}
+		c.Mode = mode
 	}
 	c.ApplyDefaults()
 	if err := c.Validate(); err != nil {
@@ -195,7 +164,6 @@ func ParseCoalesce(spec string) (*CoalesceConfig, error) {
 	}
 	if c.Legacy() {
 		c.Mode = CoalesceLegacy
-		return &c, nil
 	}
 	return &c, nil
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -29,9 +30,11 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/netdev"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/ttcp"
+	"repro/internal/workload"
 )
 
 // Options configures a Server. The zero value is serviceable: default
@@ -56,16 +59,13 @@ type Options struct {
 	// Version reported by /healthz and /metrics; "" resolves from build
 	// info.
 	Version string
-	// DefaultWorkload is a workload spec (core.ParseWorkload syntax)
-	// applied to requests that leave "workload" empty; "" keeps the
-	// bulk default. Malformed values surface on the first request as a
-	// 400, same as a client-sent spec.
-	DefaultWorkload string
-	// DefaultCoalesce is a coalescing spec (core.ParseCoalesce syntax)
-	// applied to requests that leave "coalesce" empty; "" keeps the
-	// legacy throttle. Malformed values surface as 400s, like
-	// DefaultWorkload.
-	DefaultCoalesce string
+	// DefaultWorkload is the workload applied to requests that leave
+	// "workload" empty; nil keeps the bulk default. The caller parses it
+	// once (core.ParseWorkload), so no request re-reads it.
+	DefaultWorkload *workload.Spec
+	// DefaultCoalesce is the coalescing model applied to requests that
+	// leave "coalesce" empty; nil keeps the legacy throttle.
+	DefaultCoalesce *netdev.CoalesceConfig
 	// SimBudget is the wall-clock watchdog per simulation: a cell still
 	// running after this long is cooperatively cancelled and reported
 	// aborted, freeing its limiter slot instead of hanging it. 0 leaves
@@ -84,10 +84,9 @@ type Server struct {
 	sem     chan struct{}
 	timeout time.Duration
 	version string
-	// defaultWorkload/defaultCoalesce fill RunRequest.Workload and
-	// RunRequest.Coalesce when a request leaves them empty.
-	defaultWorkload string
-	defaultCoalesce string
+	// Options.DefaultWorkload and Options.DefaultCoalesce.
+	defaultWorkload *workload.Spec
+	defaultCoalesce *netdev.CoalesceConfig
 	metrics         *metrics
 	engines         engineAgg
 	// runCtl executes one cell under a cooperative cancel signal; the
@@ -357,19 +356,6 @@ func badRequest(w http.ResponseWriter, err error) {
 	})
 }
 
-// runSafe executes one cell, converting a simulator panic into an
-// error (and a tick of affinity_panics_total) instead of a dead
-// worker goroutine.
-func (s *Server) runSafe(path string, cfg core.Config) (res *core.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.metrics.panicked(path)
-			res, err = nil, fmt.Errorf("simulation panicked: %v", v)
-		}
-	}()
-	return s.run(cfg), nil
-}
-
 // runCell executes one cell under the server's cancellation umbrella:
 // the request context, the wall-clock sim budget, and the cycle cap all
 // funnel into one cooperative cancel the engine polls at ladder-bucket
@@ -404,8 +390,10 @@ func (s *Server) runCell(ctx context.Context, path string, cfg core.Config) (*co
 	return res, err
 }
 
-// runSafeControlled is runSafe through the cache with a live cancel
-// signal threaded to the run beneath it.
+// runSafeControlled executes one cell through the cache with a live
+// cancel signal threaded to the run beneath it, converting a simulator
+// panic into an error (and a tick of affinity_panics_total) instead of
+// a dead worker goroutine.
 func (s *Server) runSafeControlled(path string, cfg core.Config, cancel *core.Cancel) (res *core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -422,7 +410,8 @@ func (s *Server) runSafeControlled(path string, cfg core.Config, cancel *core.Ca
 
 // RunRequest is the JSON body of POST /v1/run and the base of /v1/sweep.
 // Zero values select the paper's defaults. Mode, direction and policy
-// accept exactly the CLI's spellings (core.ParseMode and friends).
+// accept exactly the CLI's spellings (core.ParseMode and friends); the
+// spec fields take the inline form only ("@file" is a 400).
 type RunRequest struct {
 	Mode string `json:"mode"` // none|proc|irq|full|partition (default none)
 	Dir  string `json:"dir"`  // tx|rx (default tx)
@@ -537,9 +526,9 @@ func (rq RunRequest) Config() (core.Config, error) {
 		return core.Config{}, fmt.Errorf("impossible shape: %w", err)
 	}
 	if rq.Faults != "" {
-		sched, err := fault.Parse(rq.Faults)
+		sched, err := inline("faults", rq.Faults, fault.Parse)
 		if err != nil {
-			return core.Config{}, &fieldError{field: "faults", err: err}
+			return core.Config{}, err
 		}
 		t := cfg.Topo()
 		horizon := cfg.WarmupCycles + cfg.MeasureCycles
@@ -551,20 +540,45 @@ func (rq RunRequest) Config() (core.Config, error) {
 		}
 	}
 	if rq.Workload != "" {
-		spec, err := core.ParseWorkload(rq.Workload)
+		spec, err := inline("workload", rq.Workload, core.ParseWorkload)
 		if err != nil {
-			return core.Config{}, &fieldError{field: "workload", err: err}
+			return core.Config{}, err
 		}
 		cfg.Workload = spec
 	}
 	if rq.Coalesce != "" {
-		co, err := core.ParseCoalesce(rq.Coalesce)
+		co, err := inline("coalesce", rq.Coalesce, core.ParseCoalesce)
 		if err != nil {
-			return core.Config{}, &fieldError{field: "coalesce", err: err}
+			return core.Config{}, err
 		}
 		cfg.Coalesce = co
 	}
 	return cfg, nil
+}
+
+// inline parses one spec field of a request. A leading "@" is a 400:
+// the HTTP API never reads a server-local file.
+func inline[T any](field, s string, parse func(string) (T, error)) (T, error) {
+	if strings.HasPrefix(strings.TrimSpace(s), "@") {
+		var zero T
+		return zero, fieldErrf(field, "@file specs are read only on the command line; send the spec inline")
+	}
+	v, err := parse(s)
+	if err != nil {
+		return v, &fieldError{field: field, err: err}
+	}
+	return v, nil
+}
+
+// withDefaults fills the workload and coalescing model a request left
+// empty with the server's parsed defaults.
+func (s *Server) withDefaults(rq RunRequest, cfg *core.Config) {
+	if rq.Workload == "" {
+		cfg.Workload = s.defaultWorkload
+	}
+	if rq.Coalesce == "" {
+		cfg.Coalesce = s.defaultCoalesce
+	}
 }
 
 // decode reads a strict JSON body (unknown fields are client errors).
@@ -584,17 +598,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &rq) {
 		return
 	}
-	if rq.Workload == "" {
-		rq.Workload = s.defaultWorkload
-	}
-	if rq.Coalesce == "" {
-		rq.Coalesce = s.defaultCoalesce
-	}
 	cfg, err := rq.Config()
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
+	s.withDefaults(rq, &cfg)
 	release := s.acquire(w, r)
 	if release == nil {
 		return
@@ -731,16 +740,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &rq) {
 		return
 	}
-	if rq.Workload == "" {
-		rq.Workload = s.defaultWorkload
-	}
-	if rq.Coalesce == "" {
-		rq.Coalesce = s.defaultCoalesce
-	}
 	cells, err := rq.Expand()
 	if err != nil {
 		badRequest(w, err)
 		return
+	}
+	for i := range cells {
+		s.withDefaults(rq.RunRequest, &cells[i].Cfg)
 	}
 	release := s.acquire(w, r)
 	if release == nil {

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +18,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/netdev"
 	"repro/internal/ttcp"
+	"repro/internal/workload"
 )
 
 // tiny are the smallest windows that still measure something; every
@@ -330,6 +334,11 @@ func TestLimiterSheds(t *testing.T) {
 // prose.
 func TestFieldLevel400s(t *testing.T) {
 	ts := newTestServer(t, Options{})
+	// A readable, valid schedule file: the server must still not open it.
+	schedule := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(schedule, []byte(`{"events":[{"kind":"loss","rate":0.01}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for name, tc := range map[string]struct {
 		body  string
 		field string
@@ -343,6 +352,14 @@ func TestFieldLevel400s(t *testing.T) {
 		"fault nic range":   {`{"faults":"flap,nic=99,until=1e6"}`, "faults"},
 		"fault past window": {tinyBody(`,"faults":"flap,from=1e12,until=2e12"`), "faults"},
 		"empty fault rate":  {`{"faults":"loss,rate=0"}`, "faults"},
+		"nan fault rate":    {`{"faults":"loss,rate=nan"}`, "faults"},
+		"nan timeout":       {`{"workload":"openloop,timeout=nan"}`, "workload"},
+		"duplicate key":     {`{"workload":"rpc,req=384,req_bytes=512"}`, "workload"},
+		"bad coalesce":      {`{"coalesce":"timer,usecs=fast"}`, "coalesce"},
+		"@ in faults":       {`{"faults":"@schedule.json"}`, "faults"},
+		"@ in workload":     {`{"workload":" @/nonexistent"}`, "workload"},
+		"@ in coalesce":     {`{"coalesce":"@coalesce.json"}`, "coalesce"},
+		"@ readable file":   {tinyBody(`,"faults":"@` + schedule + `"`), "faults"},
 	} {
 		code, resp := post(t, ts.URL+"/v1/run", tc.body)
 		if code != http.StatusBadRequest {
@@ -360,8 +377,68 @@ func TestFieldLevel400s(t *testing.T) {
 		if body.Field != tc.field {
 			t.Errorf("%s: field = %q (%s), want %q", name, body.Field, resp, tc.field)
 		}
-		if body.Error == "" {
-			t.Errorf("%s: empty error message", name)
+		// The field is named once, by serve; the parsers add no
+		// package prefix of their own.
+		if !strings.HasPrefix(body.Error, tc.field+": ") || strings.Count(body.Error, tc.field+":") != 1 {
+			t.Errorf("%s: error %q does not name %q exactly once", name, body.Error, tc.field)
+		}
+		if strings.HasPrefix(name, "@") && !strings.Contains(body.Error, "only on the command line") {
+			t.Errorf("%s: error %q is not the @file refusal", name, body.Error)
+		}
+		if tc.field == "faults" && strings.Contains(body.Error, "fault:") {
+			t.Errorf("%s: error %q carries a package prefix", name, body.Error)
+		}
+	}
+}
+
+// TestDefaultsApplyWhenOmitted: the server's parsed default workload and
+// coalescing model fill requests that omit those fields, and a request
+// that names its own keeps it.
+func TestDefaultsApplyWhenOmitted(t *testing.T) {
+	wl, err := core.ParseWorkload("rpc,mix=web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := core.ParseCoalesce("timer,usecs=100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var seen []core.Config
+	stub := func(cfg core.Config) *core.Result {
+		mu.Lock()
+		seen = append(seen, cfg)
+		mu.Unlock()
+		return core.Run(cfg)
+	}
+	ts := newTestServer(t, Options{Run: stub, DefaultWorkload: wl, DefaultCoalesce: co})
+	for _, tc := range []struct {
+		path, extra string
+		defaulted   bool
+	}{
+		{"/v1/run", "", true},
+		{"/v1/sweep", `,"modes":["full"],"sizes":[4096]`, true},
+		{"/v1/run", `,"workload":"bulk","coalesce":"legacy"`, false},
+	} {
+		mu.Lock()
+		seen = nil
+		mu.Unlock()
+		code, resp := post(t, ts.URL+tc.path, tinyBody(tc.extra))
+		if code != http.StatusOK {
+			t.Fatalf("%s%s: status %d (%s)", tc.path, tc.extra, code, resp)
+		}
+		mu.Lock()
+		cells := seen
+		mu.Unlock()
+		if len(cells) != 1 {
+			t.Fatalf("%s%s: simulated %d cells, want 1", tc.path, tc.extra, len(cells))
+		}
+		got := cells[0]
+		if tc.defaulted && (got.Workload != wl || got.Coalesce != co) {
+			t.Errorf("%s%s: workload %+v coalesce %+v, want the server defaults", tc.path, tc.extra, got.Workload, got.Coalesce)
+		}
+		if !tc.defaulted && (got.Workload.Kind != workload.KindBulk || got.Coalesce.Mode != netdev.CoalesceLegacy) {
+			t.Errorf("%s%s: request's own specs replaced: workload %+v coalesce %+v", tc.path, tc.extra, got.Workload, got.Coalesce)
 		}
 	}
 }

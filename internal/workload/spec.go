@@ -1,11 +1,10 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // Kind names a built-in workload.
@@ -32,7 +31,7 @@ const (
 )
 
 func errUnknownKind(k Kind) error {
-	return fmt.Errorf("workload: unknown kind %q (bulk|rpc|openloop)", string(k))
+	return fmt.Errorf("unknown kind %q (bulk|rpc|openloop)", string(k))
 }
 
 // Arrival processes for the open-loop generator.
@@ -155,30 +154,30 @@ func (s *Spec) Validate() error {
 		return errUnknownKind(s.Kind)
 	}
 	if s.ReqBytes < 0 || s.RspBytes <= 0 {
-		return fmt.Errorf("workload: bad request/response sizes req=%d rsp=%d", s.ReqBytes, s.RspBytes)
+		return fmt.Errorf("bad request/response sizes req=%d rsp=%d", s.ReqBytes, s.RspBytes)
 	}
 	switch s.Mix {
 	case MixFixed, MixWeb, MixShort, MixMixed:
 	default:
-		return fmt.Errorf("workload: unknown mix %q (fixed|web|short|mixed)", s.Mix)
+		return fmt.Errorf("unknown mix %q (fixed|web|short|mixed)", s.Mix)
 	}
 	switch s.Arrival {
 	case ArrivalPoisson, ArrivalPareto:
 	default:
-		return fmt.Errorf("workload: unknown arrival %q (poisson|pareto)", s.Arrival)
+		return fmt.Errorf("unknown arrival %q (poisson|pareto)", s.Arrival)
 	}
 	if s.Kind == KindOpenLoop {
 		if s.Conns <= 0 {
-			return fmt.Errorf("workload: openloop needs a positive connection count, got %d", s.Conns)
+			return fmt.Errorf("openloop needs a positive connection count, got %d", s.Conns)
 		}
 		if s.Alpha <= 1 {
-			return fmt.Errorf("workload: pareto shape alpha must exceed 1 for a finite mean, got %g", s.Alpha)
+			return fmt.Errorf("pareto shape alpha must exceed 1 for a finite mean, got %g", s.Alpha)
 		}
 		if s.MaxIntervalCycles < s.IntervalCycles {
-			return fmt.Errorf("workload: max_interval_cycles %d below mean interval %d", s.MaxIntervalCycles, s.IntervalCycles)
+			return fmt.Errorf("max_interval_cycles %d below mean interval %d", s.MaxIntervalCycles, s.IntervalCycles)
 		}
 		if s.Servers < 0 || s.Backlog <= 0 || s.TimeoutCycles == 0 {
-			return fmt.Errorf("workload: bad openloop pool shape servers=%d backlog=%d timeout=%d", s.Servers, s.Backlog, s.TimeoutCycles)
+			return fmt.Errorf("bad openloop pool shape servers=%d backlog=%d timeout=%d", s.Servers, s.Backlog, s.TimeoutCycles)
 		}
 	}
 	return nil
@@ -195,110 +194,40 @@ func (s *Spec) IsDefaultBulk() bool {
 	return (s.Kind == "" || s.Kind == KindBulk) && !s.Alternate
 }
 
-// Parse builds a Spec from the CLI/HTTP syntax — a kind followed by
-// comma-separated key=value pairs, e.g.
-//
-//	"openloop,conns=100000,interval=40000,arrival=pareto,mix=short"
-//	"bulk,alternate=true"
-//	"rpc,req=384,mix=web"
-//
-// or, with a leading "@", from a JSON spec file (the Spec JSON schema).
-// Defaults are applied and the result validated; keys accept the JSON
-// field names and short aliases (req, rsp, interval, maxinterval,
-// timeout, alt).
-func Parse(spec string) (*Spec, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, fmt.Errorf("workload: empty spec")
+// Parse builds a Spec from "@file.json" (the Spec JSON schema) or the
+// inline form of package spec, e.g. "openloop,conns=100000,arrival=pareto"
+// or "rpc,req=384,mix=web". Keys are the JSON field names plus short
+// aliases (req, rsp, interval, maxinterval, timeout, alt). Defaults are
+// applied and the result validated.
+func Parse(in string) (*Spec, error) {
+	in = strings.TrimSpace(in)
+	if in == "" {
+		return nil, fmt.Errorf("empty spec")
 	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return nil, fmt.Errorf("workload: reading spec file: %w", err)
-		}
-		var s Spec
-		if err := json.Unmarshal(data, &s); err != nil {
-			return nil, fmt.Errorf("workload: parsing spec file %s: %w", spec[1:], err)
-		}
-		s.ApplyDefaults()
-		if err := s.Validate(); err != nil {
+	var s Spec
+	if path, ok := strings.CutPrefix(in, "@"); ok {
+		if err := spec.ReadFile(path, &s); err != nil {
 			return nil, err
 		}
-		return &s, nil
-	}
-
-	fields := strings.Split(spec, ",")
-	s := Spec{Kind: Kind(strings.ToLower(strings.TrimSpace(fields[0])))}
-	for _, f := range fields[1:] {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return nil, fmt.Errorf("workload: field %q is not key=value", f)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "alternate", "alt":
-			s.Alternate, err = strconv.ParseBool(val)
-		case "req", "req_bytes":
-			s.ReqBytes, err = parseInt(val)
-		case "rsp", "rsp_bytes":
-			s.RspBytes, err = parseInt(val)
-		case "mix":
-			s.Mix = strings.ToLower(val)
-		case "conns":
-			s.Conns, err = parseInt(val)
-		case "arrival":
-			s.Arrival = strings.ToLower(val)
-		case "interval", "interval_cycles":
-			s.IntervalCycles, err = parseUint(val)
-		case "alpha":
-			s.Alpha, err = strconv.ParseFloat(val, 64)
-		case "maxinterval", "max_interval_cycles":
-			s.MaxIntervalCycles, err = parseUint(val)
-		case "servers":
-			s.Servers, err = parseInt(val)
-		case "backlog":
-			s.Backlog, err = parseInt(val)
-		case "timeout", "timeout_cycles":
-			s.TimeoutCycles, err = parseUint(val)
-		default:
-			return nil, fmt.Errorf("workload: unknown key %q in %q", key, f)
-		}
+	} else {
+		kind, err := spec.Bind(in, spec.Keys{
+			"alternate": &s.Alternate, "alt": &s.Alternate, "mix": &s.Mix, "arrival": &s.Arrival,
+			"req": &s.ReqBytes, "req_bytes": &s.ReqBytes, "rsp": &s.RspBytes, "rsp_bytes": &s.RspBytes,
+			"conns": &s.Conns, "servers": &s.Servers, "backlog": &s.Backlog, "alpha": &s.Alpha,
+			"interval": &s.IntervalCycles, "interval_cycles": &s.IntervalCycles,
+			"maxinterval": &s.MaxIntervalCycles, "max_interval_cycles": &s.MaxIntervalCycles,
+			"timeout": &s.TimeoutCycles, "timeout_cycles": &s.TimeoutCycles,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("workload: bad value for %q: %v", key, err)
+			return nil, err
 		}
+		s.Kind = Kind(kind)
 	}
 	s.ApplyDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// parseInt and parseUint accept plain integers and float notation
-// (1e9), matching the fault-spec syntax.
-func parseInt(val string) (int, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, err
-	}
-	return int(f), nil
-}
-
-func parseUint(val string) (uint64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, err
-	}
-	if f < 0 {
-		return 0, fmt.Errorf("negative value %q", val)
-	}
-	return uint64(f), nil
 }
 
 // mixTable returns the response-size table for the spec's mix. The
